@@ -21,6 +21,19 @@ use crate::util::FastBuild;
 #[derive(Clone, Debug, PartialEq)]
 pub struct Isop {
     /// The cubes, each contained in `upper`, jointly covering `lower`.
+    ///
+    /// The order is part of the contract (service result lines render it
+    /// verbatim): at a split on variable `x`, the cubes covering the
+    /// `x = 0` part come first, each with `¬x` added, then those covering
+    /// the `x = 1` part with `x` added, then the `x`-free remainder, with
+    /// the same order applied recursively inside each group. Literals
+    /// within a cube are sorted by variable identity, whatever the
+    /// current order.
+    ///
+    /// The recursion shares sub-covers in a cover DAG: one node per
+    /// memoized subproblem `(x, ¬x-part, x-part, rest)`, with reserved
+    /// ids for "no cubes" and "the universal cube". This list is the
+    /// DAG's depth-first expansion, built once per call.
     pub cubes: Vec<Cube>,
     /// The BDD of the sum of the cubes.
     pub function: Edge,
@@ -43,30 +56,63 @@ impl Isop {
         if self.cubes.is_empty() {
             return "0".to_owned();
         }
-        self.cubes
-            .iter()
-            .map(|cube| {
-                if cube.is_empty() {
-                    "1".to_owned()
-                } else {
-                    cube.literals()
-                        .iter()
-                        .map(|&(v, pos)| {
-                            let name = bdd.var_name(v);
-                            if pos {
-                                name.to_owned()
-                            } else {
-                                format!("¬{name}")
-                            }
-                        })
-                        .collect::<Vec<_>>()
-                        .join("·")
+        let mut out = String::new();
+        for (i, cube) in self.cubes.iter().enumerate() {
+            if i > 0 {
+                out.push_str(" + ");
+            }
+            if cube.is_empty() {
+                out.push('1');
+            }
+            for (j, &(v, pos)) in cube.literals().iter().enumerate() {
+                if j > 0 {
+                    out.push('·');
                 }
-            })
-            .collect::<Vec<_>>()
-            .join(" + ")
+                if !pos {
+                    out.push('¬');
+                }
+                out.push_str(bdd.var_name(v));
+            }
+        }
+        out
     }
 }
+
+/// A sub-cover: [`NO_CUBES`], [`UNIVERSAL`], or `i + 2` for node `i` of
+/// the call's cover DAG.
+type CoverId = usize;
+
+/// The cover with no cubes (the constant 0).
+const NO_CUBES: CoverId = 0;
+
+/// The cover made of the universal cube alone (the constant 1).
+const UNIVERSAL: CoverId = 1;
+
+/// A cover DAG node `(x, part0, part1, rest)`: the cubes of `part0` with
+/// `¬x`, then those of `part1` with `x`, then those of `rest`.
+type CoverNode = (Var, CoverId, CoverId, CoverId);
+
+/// Appends the cubes of cover `id` to `out`, each extended by the
+/// literals on `path`.
+fn expand(dag: &[CoverNode], id: CoverId, path: &mut Vec<(Var, bool)>, out: &mut Vec<Cube>) {
+    match id {
+        NO_CUBES => {}
+        UNIVERSAL => out.push(Cube::new(path.clone())),
+        _ => {
+            let (x, part0, part1, rest) = dag[id - 2];
+            path.push((x, false));
+            expand(dag, part0, path, out);
+            path.pop();
+            path.push((x, true));
+            expand(dag, part1, path, out);
+            path.pop();
+            expand(dag, rest, path, out);
+        }
+    }
+}
+
+/// Memo of one call: `(lower, upper)` to the cover's function and id.
+type IsopMemo = HashMap<(Edge, Edge), (Edge, CoverId), FastBuild>;
 
 impl Bdd {
     /// Computes an irredundant sum-of-products `g` with
@@ -93,30 +139,33 @@ impl Bdd {
             self.implies_holds(lower, upper),
             "isop: lower must imply upper"
         );
-        let mut memo: HashMap<(Edge, Edge), Isop, FastBuild> = HashMap::default();
-        self.isop_rec(lower, upper, &mut memo)
+        let mut dag = Vec::new();
+        // One operation for the whole recursion: no collection or
+        // reordering may run between the levels it reads and the nodes
+        // it builds at them.
+        self.begin_op();
+        let (function, root) = self.isop_rec(lower, upper, &mut IsopMemo::default(), &mut dag);
+        let function = self.end_op(function);
+        let mut cubes = Vec::new();
+        expand(&dag, root, &mut Vec::new(), &mut cubes);
+        Isop { cubes, function }
     }
 
     fn isop_rec(
         &mut self,
         lower: Edge,
         upper: Edge,
-        memo: &mut HashMap<(Edge, Edge), Isop, FastBuild>,
-    ) -> Isop {
+        memo: &mut IsopMemo,
+        dag: &mut Vec<CoverNode>,
+    ) -> (Edge, CoverId) {
         if lower.is_zero() {
-            return Isop {
-                cubes: Vec::new(),
-                function: Edge::ZERO,
-            };
+            return (Edge::ZERO, NO_CUBES);
         }
         if upper.is_one() {
-            return Isop {
-                cubes: vec![Cube::default()],
-                function: Edge::ONE,
-            };
+            return (Edge::ONE, UNIVERSAL);
         }
-        if let Some(r) = memo.get(&(lower, upper)) {
-            return r.clone();
+        if let Some(&r) = memo.get(&(lower, upper)) {
+            return r;
         }
         let x = self.level(lower).min(self.level(upper));
         debug_assert!(!x.is_terminal());
@@ -125,40 +174,26 @@ impl Bdd {
         // Parts of each cofactor that cannot be covered by x-free cubes.
         let lx0 = self.diff(l0, u1);
         let lx1 = self.diff(l1, u0);
-        let part0 = self.isop_rec(lx0, u0, memo);
-        let part1 = self.isop_rec(lx1, u1, memo);
+        let (f0, part0) = self.isop_rec(lx0, u0, memo, dag);
+        let (f1, part1) = self.isop_rec(lx1, u1, memo, dag);
         // The remainder must be covered without mentioning x.
-        let rem0 = self.diff(l0, part0.function);
-        let rem1 = self.diff(l1, part1.function);
+        let rem0 = self.diff(l0, f0);
+        let rem1 = self.diff(l1, f1);
         let l_rest = self.or(rem0, rem1);
         let u_rest = self.and(u0, u1);
-        let rest = self.isop_rec(l_rest, u_rest, memo);
-        // Assemble. `x` is a level; cube literals carry identities.
-        let xv = self.var_at_level(x);
-        let mut cubes =
-            Vec::with_capacity(part0.cubes.len() + part1.cubes.len() + rest.cubes.len());
-        for cube in &part0.cubes {
-            cubes.push(prepend_literal(cube, xv, false));
-        }
-        for cube in &part1.cubes {
-            cubes.push(prepend_literal(cube, xv, true));
-        }
-        cubes.extend(rest.cubes.iter().cloned());
-        let xvar = self.var(xv);
-        let with_x = self.ite(xvar, part1.function, part0.function);
-        let function = self.or(with_x, rest.function);
-        let result = Isop { cubes, function };
-        debug_assert!(self.implies_holds(lower, result.function));
-        debug_assert!(self.implies_holds(result.function, upper));
-        memo.insert((lower, upper), result.clone());
-        result
+        let (f_rest, rest) = self.isop_rec(l_rest, u_rest, memo, dag);
+        // `x` is a level; cube literals carry identities.
+        dag.push((self.var_at_level(x), part0, part1, rest));
+        let cover = dag.len() + 1;
+        // Every sub-cover lies strictly below `x`, so `x·f1 + ¬x·f0` is
+        // a single node.
+        let with_x = self.mk(x, f1, f0);
+        let function = self.or(with_x, f_rest);
+        debug_assert!(self.implies_holds(lower, function));
+        debug_assert!(self.implies_holds(function, upper));
+        memo.insert((lower, upper), (function, cover));
+        (function, cover)
     }
-}
-
-fn prepend_literal(cube: &Cube, var: Var, positive: bool) -> Cube {
-    let mut lits = cube.literals().to_vec();
-    lits.push((var, positive));
-    Cube::new(lits)
 }
 
 #[cfg(test)]

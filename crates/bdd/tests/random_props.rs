@@ -6,7 +6,9 @@
 //! direct truth-table evaluation. Fixed seeds keep every run identical;
 //! a failure message always includes the offending table(s).
 
-use bddmin_bdd::{Bdd, Cube, Edge, Var};
+use std::collections::HashMap;
+
+use bddmin_bdd::{Bdd, Cube, Edge, ReorderSettings, Var};
 use bddmin_core::rng::XorShift64;
 
 const NVARS: usize = 4;
@@ -258,5 +260,185 @@ fn isop_interval_soundness_and_irredundancy() {
         // No freedom ⟹ exact.
         let exact = bdd.isop(lower, lower);
         assert_eq!(exact.function, lower);
+    }
+}
+
+/// Reference ISOP: the plain Minato–Morreale recursion with every
+/// sub-cover stored as its own `Vec<Cube>` (cloned on each memo hit,
+/// each literal prepended by re-sorting the cube). `Bdd::isop` shares
+/// sub-covers in a DAG instead and must reproduce this output exactly,
+/// cube order included.
+fn reference_isop(
+    bdd: &mut Bdd,
+    lower: Edge,
+    upper: Edge,
+    memo: &mut HashMap<(Edge, Edge), (Vec<Cube>, Edge)>,
+) -> (Vec<Cube>, Edge) {
+    if lower.is_zero() {
+        return (Vec::new(), Edge::ZERO);
+    }
+    if upper.is_one() {
+        return (vec![Cube::default()], Edge::ONE);
+    }
+    if let Some(r) = memo.get(&(lower, upper)) {
+        return r.clone();
+    }
+    let x = bdd.level(lower).min(bdd.level(upper));
+    let (l1, l0) = bdd.cof_at(lower, x);
+    let (u1, u0) = bdd.cof_at(upper, x);
+    let lx0 = bdd.diff(l0, u1);
+    let lx1 = bdd.diff(l1, u0);
+    let (cubes0, f0) = reference_isop(bdd, lx0, u0, memo);
+    let (cubes1, f1) = reference_isop(bdd, lx1, u1, memo);
+    let rem0 = bdd.diff(l0, f0);
+    let rem1 = bdd.diff(l1, f1);
+    let l_rest = bdd.or(rem0, rem1);
+    let u_rest = bdd.and(u0, u1);
+    let (rest, f_rest) = reference_isop(bdd, l_rest, u_rest, memo);
+    let xv = bdd.var_at_level(x);
+    let with = |cube: &Cube, positive: bool| {
+        let mut lits = cube.literals().to_vec();
+        lits.push((xv, positive));
+        Cube::new(lits)
+    };
+    let mut cubes: Vec<Cube> = cubes0.iter().map(|c| with(c, false)).collect();
+    cubes.extend(cubes1.iter().map(|c| with(c, true)));
+    cubes.extend(rest);
+    let xvar = bdd.var(xv);
+    let with_x = bdd.ite(xvar, f1, f0);
+    let function = bdd.or(with_x, f_rest);
+    memo.insert((lower, upper), (cubes.clone(), function));
+    (cubes, function)
+}
+
+/// A random leaf spec over `vars` variables with ~40% don't cares.
+fn random_spec(rng: &mut XorShift64, vars: usize) -> String {
+    (0..1usize << vars)
+        .map(|_| match rng.gen_range(0..10) {
+            0..=3 => 'd',
+            4..=6 => '0',
+            _ => '1',
+        })
+        .collect()
+}
+
+/// Checks `Bdd::isop` against [`reference_isop`] on `[lower, upper]`,
+/// plus the interval and irredundancy contracts.
+fn check_isop_matches_reference(bdd: &mut Bdd, lower: Edge, upper: Edge, what: &str) {
+    let isop = bdd.isop(lower, upper);
+    let (cubes, function) = reference_isop(bdd, lower, upper, &mut HashMap::new());
+    assert_eq!(isop.cubes, cubes, "cube list differs on {what}");
+    assert_eq!(isop.function, function, "function differs on {what}");
+    assert!(bdd.implies_holds(lower, isop.function), "{what}");
+    assert!(bdd.implies_holds(isop.function, upper), "{what}");
+    let parts: Vec<Edge> = isop.cubes.iter().map(|c| c.to_edge(bdd)).collect();
+    let union = bdd.or_many(parts);
+    assert_eq!(
+        union, isop.function,
+        "cubes and function disagree on {what}"
+    );
+    for skip in 0..isop.cubes.len() {
+        let parts: Vec<Edge> = isop
+            .cubes
+            .iter()
+            .enumerate()
+            .filter(|&(i, _)| i != skip)
+            .map(|(_, c)| c.to_edge(bdd))
+            .collect();
+        let partial = bdd.or_many(parts);
+        assert!(
+            !bdd.implies_holds(lower, partial),
+            "redundant cube {skip} on {what}"
+        );
+    }
+    for cube in &isop.cubes {
+        assert!(
+            cube.literals().windows(2).all(|w| w[0].0 < w[1].0),
+            "cube literals not sorted by variable on {what}"
+        );
+    }
+}
+
+#[test]
+fn isop_matches_the_reference_recursion() {
+    let mut rng = XorShift64::seed_from_u64(0x1509);
+    let (mut reordered, mut chained) = (0, 0);
+    for case in 0..24 {
+        let vars = 5 + case % 3;
+        let spec = random_spec(&mut rng, vars);
+        // Identity order, a sifted (non-identity) order, and chain mode.
+        for mode in 0..3 {
+            let mut bdd = if mode == 2 {
+                Bdd::new_chained(vars)
+            } else {
+                Bdd::new(vars)
+            };
+            let (f, c) = bdd.from_leaf_spec(&spec).unwrap();
+            if mode == 1 {
+                bdd.reorder_roots(&ReorderSettings::sift(1.2), &[f, c]);
+                if (0..vars).any(|v| bdd.level_of_var(Var(v as u32)) != Var(v as u32)) {
+                    reordered += 1;
+                }
+            }
+            let lower = bdd.and(f, c);
+            let nc = bdd.not(c);
+            let upper = bdd.or(f, nc);
+            if bdd.stats().chain_nodes > 0 {
+                chained += 1;
+            }
+            let what = format!("{spec} (mode {mode})");
+            assert_ne!(lower, upper, "{what}");
+            check_isop_matches_reference(&mut bdd, lower, upper, &what);
+            check_isop_matches_reference(&mut bdd, lower, lower, &what);
+            check_isop_matches_reference(&mut bdd, upper, upper, &what);
+        }
+    }
+    assert!(
+        reordered >= 12,
+        "sifting left the identity order only {reordered} times"
+    );
+    assert!(chained >= 12, "only {chained} chain-mode cases built chain nodes");
+}
+
+/// `Bdd::isop` reads a level before recursing and builds a node at it
+/// afterwards, and its memo holds unpinned edges across inner
+/// operations. Automatic GC or reordering at an inner quiescent point
+/// would free those edges or move that level, so an interval large
+/// enough to cross both thresholds during the call must still give the
+/// reference cover, and the triggered run must happen. The 13-variable
+/// interval starts below the 4096-node reordering threshold: a larger one
+/// is sifted at the entry check, before the recursion, which changes the
+/// order the cubes follow.
+#[test]
+fn isop_is_unaffected_by_automatic_gc_and_reordering() {
+    let vars = 13;
+    let spec = random_spec(&mut XorShift64::seed_from_u64(0x150f), vars);
+    for auto_reorder in [false, true] {
+        let mut bdd = Bdd::new(vars);
+        let (f, c) = bdd.from_leaf_spec(&spec).unwrap();
+        let lower = bdd.and(f, c);
+        let nc = bdd.not(c);
+        let upper = bdd.or(f, nc);
+        let (cubes, function) = reference_isop(&mut bdd, lower, upper, &mut HashMap::new());
+        for edge in [lower, upper, function] {
+            bdd.pin(edge);
+        }
+        bdd.collect_garbage(&[]);
+        let before = bdd.stats();
+        if auto_reorder {
+            bdd.set_auto_reorder(true);
+        } else {
+            bdd.set_auto_gc(true);
+        }
+        let isop = bdd.isop(lower, upper);
+        let after = bdd.stats();
+        let what = if auto_reorder { "auto reorder" } else { "auto GC" };
+        if auto_reorder {
+            assert!(after.reorder_runs > before.reorder_runs, "no {what} ran");
+        } else {
+            assert!(after.gc_runs > before.gc_runs, "no {what} ran");
+        }
+        assert_eq!(isop.cubes, cubes, "cube list differs under {what}");
+        assert_eq!(isop.function, function, "function differs under {what}");
     }
 }

@@ -91,14 +91,11 @@ impl std::error::Error for JsonError {}
 
 /// Parses one complete JSON value; trailing non-whitespace is an error.
 pub fn parse(input: &str) -> Result<Json, JsonError> {
-    let mut p = Parser {
-        bytes: input.as_bytes(),
-        pos: 0,
-    };
+    let mut p = Parser { src: input, pos: 0 };
     p.skip_ws();
     let value = p.value(0)?;
     p.skip_ws();
-    if p.pos != p.bytes.len() {
+    if p.pos != p.src.len() {
         return Err(p.err("trailing characters after JSON value"));
     }
     Ok(value)
@@ -129,7 +126,7 @@ pub fn escape(s: &str) -> String {
 const MAX_DEPTH: usize = 64;
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    src: &'a str,
     pos: usize,
 }
 
@@ -142,7 +139,7 @@ impl<'a> Parser<'a> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.src.as_bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
@@ -161,7 +158,7 @@ impl<'a> Parser<'a> {
     }
 
     fn literal(&mut self, word: &str, value: Json) -> Result<Json, JsonError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self.src[self.pos..].starts_with(word) {
             self.pos += word.len();
             Ok(value)
         } else {
@@ -296,13 +293,15 @@ impl<'a> Parser<'a> {
                 }
                 Some(b) if b < 0x20 => return Err(self.err("control character in string")),
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so the
-                    // byte stream is valid UTF-8 by construction).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).expect("input was a str");
-                    let ch = s.chars().next().expect("peeked non-empty");
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
+                    // Copy the whole run of plain characters at once. It
+                    // stops before a quote, a backslash or a control byte
+                    // (all ASCII) or at the end of input, so both ends of
+                    // the run are character boundaries.
+                    let start = self.pos;
+                    while matches!(self.peek(), Some(b) if b != b'"' && b != b'\\' && b >= 0x20) {
+                        self.pos += 1;
+                    }
+                    out.push_str(&self.src[start..self.pos]);
                 }
             }
         }
@@ -346,8 +345,8 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii digits");
-        text.parse::<f64>()
+        self.src[start..self.pos]
+            .parse::<f64>()
             .map(Json::Num)
             .map_err(|_| self.err("invalid number"))
     }
@@ -400,6 +399,50 @@ mod tests {
         let v = parse(r#""a\"b\\c\nA😀""#).unwrap();
         assert_eq!(v.as_str(), Some("a\"b\\c\nA😀"));
         assert_eq!(escape("a\"b\\c\n\u{1}"), "a\\\"b\\\\c\\n\\u0001");
+    }
+
+    #[test]
+    fn multibyte_scalars_next_to_escapes_and_quotes() {
+        // 2-, 3- and 4-byte UTF-8 scalars at both ends of a string, beside
+        // `\"` and `\uXXXX` escapes, and just before the closing quote.
+        for ch in ["é", "€", "😀"] {
+            for (source, text) in [
+                (format!("{ch}ab"), format!("{ch}ab")),
+                (format!("ab{ch}"), format!("ab{ch}")),
+                (ch.to_owned(), ch.to_owned()),
+                (format!("{ch}{ch}"), format!("{ch}{ch}")),
+                (format!("\\\"{ch}\\\""), format!("\"{ch}\"")),
+                (format!("{ch}\\u00e9{ch}"), format!("{ch}é{ch}")),
+                (format!("\\u20ac{ch}\\ud83d\\ude00"), format!("€{ch}😀")),
+                (format!("a\\\\{ch}\\n"), format!("a\\{ch}\n")),
+            ] {
+                let quoted = format!("\"{source}\"");
+                let v = parse(&quoted).unwrap_or_else(|e| panic!("{quoted:?}: {e}"));
+                assert_eq!(v.as_str(), Some(text.as_str()), "{quoted:?}");
+                let back = parse(&format!("\"{}\"", escape(&text))).unwrap();
+                assert_eq!(back.as_str(), Some(text.as_str()), "round trip of {text:?}");
+            }
+        }
+        // A control byte after a multi-byte scalar is still rejected at
+        // its own position.
+        let err = parse("\"é\u{1}\"").unwrap_err();
+        assert_eq!(err.pos, 3);
+        assert!(err.msg.contains("control character"), "{err}");
+        assert!(parse("\"😀").unwrap_err().msg.contains("unterminated"));
+    }
+
+    #[test]
+    fn long_strings_parse_in_one_pass() {
+        // 256 KiB of mixed-width scalars with escapes sprinkled in.
+        let unit = "ab€😀\"\\é\n";
+        let text = unit.repeat(256 * 1024 / unit.len());
+        assert!(text.len() >= 250 * 1024);
+        let quoted = format!("\"{}\"", escape(&text));
+        let v = parse(&quoted).unwrap();
+        assert_eq!(v.as_str(), Some(text.as_str()));
+        let plain = "x".repeat(256 * 1024);
+        let v = parse(&format!("{{\"spec\":\"{plain}\"}}")).unwrap();
+        assert_eq!(v.get("spec").and_then(Json::as_str), Some(plain.as_str()));
     }
 
     #[test]

@@ -4,6 +4,7 @@
 //! no subprocesses, so the suite is fast and failure output points at
 //! engine state, not at a broken pipe.
 
+use bddmin_core::rng::XorShift64;
 use bddmin_serve::{demo_stream, json, process_stream, ServeOpts, ServeSummary};
 
 fn run(input: &str, shards: usize) -> (String, ServeSummary) {
@@ -180,4 +181,49 @@ fn emit_shard_is_opt_in_because_it_breaks_invariance() {
     )
     .unwrap();
     assert_eq!(rr, String::from_utf8(hashed).unwrap());
+}
+
+/// FNV-1a (64-bit) of the result stream of
+/// [`seeded_spec_covers_match_golden_hash`], recorded with the clone-based
+/// ISOP that `crates/bdd/tests/random_props.rs` keeps as its reference.
+/// Any drift in a heuristic size, the chosen best result or the cube
+/// order of a `cover` moves it.
+const GOLDEN_SPEC_STREAM_FNV: u64 = 0xfb8c_e2e9_a97a_dfc7;
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+#[test]
+fn seeded_spec_covers_match_golden_hash() {
+    // Serve-style spec jobs: 8–12 variables, 40% don't cares, the demo
+    // stream's five filters, no budgets (every cover is the exact ISOP of
+    // the best heuristic's result).
+    const FILTERS: [&str; 5] = ["all", "osm_*", "sched", "osm_bt,tsm_td", "restr"];
+    const JOBS: usize = 24;
+    let mut rng = XorShift64::seed_from_u64(12);
+    let mut input = String::new();
+    for i in 0..JOBS {
+        let vars = 8 + rng.gen_range(0..5);
+        let spec: String = (0..1usize << vars)
+            .map(|_| match rng.gen_range(0..10) {
+                0..=3 => 'd',
+                4..=6 => '0',
+                _ => '1',
+            })
+            .collect();
+        let filter = FILTERS[i % FILTERS.len()];
+        input.push_str(&format!(
+            "{{\"id\":\"g{i}\",\"spec\":\"{spec}\",\"heuristic\":\"{filter}\"}}\n"
+        ));
+    }
+    let (out, summary) = run(&input, 2);
+    assert_eq!((summary.ok, summary.errors), (JOBS, 0), "{out}");
+    assert_eq!(
+        fnv1a(out.as_bytes()),
+        GOLDEN_SPEC_STREAM_FNV,
+        "serve result lines drifted: {out}"
+    );
 }

@@ -25,7 +25,10 @@
 #                4 shards must be byte-identical, malformed and
 #                non-injective jobs must come back as structured error
 #                lines with exit 0, and the signature cache must score
-#                nonzero hits
+#                nonzero hits; one 12-variable `--heuristic all` spec job
+#                (tests/serve/spec12.txt) through 1 and 2 shards must
+#                reproduce the committed result line
+#                (tests/serve/spec12.result.jsonl) byte for byte
 #   perf         perf_smoke --quick + JSON schema checks (BENCH_5 and
 #                the ci_timings.json wall-clock artifact)
 #
@@ -371,6 +374,14 @@ stage_serve() {
         exit 1
     }
     sed 's/^/    /' "$tmpdir/s1.summary"
+    echo "    golden cover: 12-variable spec job, all heuristics, 1 and 2 shards"
+    ./target/release/bddmin-job spec "$(cat tests/serve/spec12.txt)" --id spec12 \
+        --heuristic all >"$tmpdir/spec12.jsonl"
+    for shards in 1 2; do
+        ./target/release/bddmin-serve --shards "$shards" <"$tmpdir/spec12.jsonl" \
+            2>/dev/null | diff -u tests/serve/spec12.result.jsonl -
+    done
+    echo "    result line matches tests/serve/spec12.result.jsonl"
     rm -rf "$tmpdir"
 }
 
