@@ -24,7 +24,8 @@ impl Bdd {
     ///
     /// # Panics
     ///
-    /// Panics if `c` is the zero function (the care set may not be empty).
+    /// Panics if `c` is the zero function (the care set may not be empty);
+    /// [`Bdd::try_constrain`] returns an error instead.
     ///
     /// # Example
     ///
@@ -37,17 +38,17 @@ impl Bdd {
     /// assert_eq!(g, b);
     /// ```
     pub fn constrain(&mut self, f: Edge, c: Edge) -> Edge {
+        assert!(!c.is_zero(), "constrain: care set must be non-empty");
         self.try_constrain(f, c).expect(BUDGET_PANIC)
     }
 
     /// Checked [`Bdd::constrain`]: returns [`BudgetExceeded`] instead of
-    /// running past the armed budget.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `c` is the zero function.
+    /// running past the armed budget, and reports an empty care set `c`
+    /// as [`BudgetExceeded::INTERNAL`] instead of panicking.
     pub fn try_constrain(&mut self, f: Edge, c: Edge) -> Result<Edge, BudgetExceeded> {
-        assert!(!c.is_zero(), "constrain: care set must be non-empty");
+        if c.is_zero() {
+            return Err(BudgetExceeded::INTERNAL);
+        }
         self.begin_op();
         match self.constrain_rec(f, c, 0) {
             Ok(r) => Ok(self.end_op(r)),
@@ -100,7 +101,8 @@ impl Bdd {
     ///
     /// # Panics
     ///
-    /// Panics if `c` is the zero function.
+    /// Panics if `c` is the zero function; [`Bdd::try_restrict`] returns
+    /// an error instead.
     ///
     /// # Example
     ///
@@ -114,17 +116,17 @@ impl Bdd {
     /// assert!(!bdd.depends_on(g, Var(0)));
     /// ```
     pub fn restrict(&mut self, f: Edge, c: Edge) -> Edge {
+        assert!(!c.is_zero(), "restrict: care set must be non-empty");
         self.try_restrict(f, c).expect(BUDGET_PANIC)
     }
 
     /// Checked [`Bdd::restrict`]: returns [`BudgetExceeded`] instead of
-    /// running past the armed budget.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `c` is the zero function.
+    /// running past the armed budget, and reports an empty care set `c`
+    /// as [`BudgetExceeded::INTERNAL`] instead of panicking.
     pub fn try_restrict(&mut self, f: Edge, c: Edge) -> Result<Edge, BudgetExceeded> {
-        assert!(!c.is_zero(), "restrict: care set must be non-empty");
+        if c.is_zero() {
+            return Err(BudgetExceeded::INTERNAL);
+        }
         self.begin_op();
         match self.restrict_rec(f, c, 0) {
             Ok(r) => Ok(self.end_op(r)),
@@ -246,6 +248,32 @@ mod tests {
         let mut bdd = Bdd::new(1);
         let a = bdd.var(Var(0));
         bdd.constrain(a, Edge::ZERO);
+    }
+
+    #[test]
+    #[should_panic(expected = "non-empty")]
+    fn restrict_zero_care_panics() {
+        let mut bdd = Bdd::new(1);
+        let a = bdd.var(Var(0));
+        bdd.restrict(a, Edge::ZERO);
+    }
+
+    #[test]
+    fn checked_forms_report_an_empty_care_set() {
+        let mut bdd = Bdd::new(1);
+        let a = bdd.var(Var(0));
+        for f in [a, Edge::ZERO, Edge::ONE] {
+            assert_eq!(
+                bdd.try_constrain(f, Edge::ZERO),
+                Err(BudgetExceeded::INTERNAL)
+            );
+            assert_eq!(
+                bdd.try_restrict(f, Edge::ZERO),
+                Err(BudgetExceeded::INTERNAL)
+            );
+        }
+        // The manager stays usable: no operation was left open.
+        assert_eq!(bdd.try_constrain(a, a), Ok(Edge::ONE));
     }
 
     #[test]

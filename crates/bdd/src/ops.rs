@@ -12,6 +12,10 @@ use crate::budget::BudgetExceeded;
 use crate::cache::Op;
 use crate::edge::{Edge, Var};
 use crate::manager::{Bdd, BUDGET_PANIC, MAX_REC_DEPTH};
+use crate::util::FastBuild;
+
+/// Memo of one [`Bdd::rename`] call: regular edge to its renamed form.
+type RenameMemo = std::collections::HashMap<Edge, Edge, FastBuild>;
 
 impl Bdd {
     /// If-then-else: `ite(f, g, h) = f·g + ¬f·h`.
@@ -626,29 +630,99 @@ impl Bdd {
         Ok(r)
     }
 
-    /// Renames variables: substitutes `to[i]` for `from[i]` simultaneously.
+    /// Renames variables: substitutes `to[i]` for `from[i]` in `f`, all
+    /// pairs simultaneously. Any map works: a swap `[a, b] → [b, a]`
+    /// exchanges the two variables, a partial map leaves every other
+    /// variable alone, and two sources may share a target.
     ///
-    /// The mapping must be order-compatible in the sense that pairwise swaps
-    /// do not reorder (`from` and `to` sorted consistently); this is the case
-    /// for the present/next-state variable interleavings used by the FSM
-    /// layer. Implemented by sequential composition from the bottom up.
+    /// One memoized pass over `f` computes
+    /// `r(f) = ite(σ(top(f)), r(f₁), r(f₀))`, where `σ` maps each level
+    /// to its substitute's level (its own by default). When `σ` keeps
+    /// the order of the levels it reaches, as the FSM layer's
+    /// next-to-present maps do, every `ite` is a single node.
     ///
     /// # Panics
     ///
     /// Panics if the slices have different lengths.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use bddmin_bdd::{Bdd, Var};
+    /// let mut bdd = Bdd::new(2);
+    /// let (a, b) = (bdd.var(Var(0)), bdd.var(Var(1)));
+    /// let f = bdd.and(a, bdd.not(b));
+    /// let swapped = bdd.rename(f, &[Var(0), Var(1)], &[Var(1), Var(0)]);
+    /// assert_eq!(swapped, bdd.and(b, bdd.not(a)));
+    /// ```
     pub fn rename(&mut self, f: Edge, from: &[Var], to: &[Var]) -> Edge {
+        self.try_rename(f, from, to).expect(BUDGET_PANIC)
+    }
+
+    /// Checked [`Bdd::rename`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slices have different lengths.
+    pub fn try_rename(
+        &mut self,
+        f: Edge,
+        from: &[Var],
+        to: &[Var],
+    ) -> Result<Edge, BudgetExceeded> {
         assert_eq!(from.len(), to.len(), "rename arity mismatch");
-        let mut pairs: Vec<(Var, Var)> =
-            from.iter().copied().zip(to.iter().copied()).collect();
-        // Compose deepest source first (deepest in the *current order*) so
-        // earlier substitutions cannot be re-captured by later ones.
-        pairs.sort_by_key(|p| std::cmp::Reverse(self.level_of_var(p.0)));
-        let mut r = f;
-        for (src, dst) in pairs {
-            let g = self.var(dst);
-            r = self.compose(r, src, g);
+        // σ by level, cut after the deepest level that moves: below it
+        // the pass returns `f` unchanged.
+        let mut sigma: Vec<Var> = (0..self.num_vars() as u32).map(Var).collect();
+        for (&src, &dst) in from.iter().zip(to) {
+            sigma[self.level_of_var(src).index()] = self.level_of_var(dst);
         }
-        r
+        let moved = sigma.iter().enumerate().rposition(|(l, s)| s.index() != l);
+        sigma.truncate(moved.map_or(0, |l| l + 1));
+        self.begin_op();
+        match self.rename_rec(f, &sigma, &mut RenameMemo::default(), 0) {
+            Ok(r) => Ok(self.end_op(r)),
+            Err(e) => {
+                self.abort_op();
+                Err(e)
+            }
+        }
+    }
+
+    /// `sigma[l]` is the level whose variable replaces level `l`'s; the
+    /// memo is keyed by regular edges, since `r(¬f) = ¬r(f)`.
+    fn rename_rec(
+        &mut self,
+        f: Edge,
+        sigma: &[Var],
+        memo: &mut RenameMemo,
+        depth: u32,
+    ) -> Result<Edge, BudgetExceeded> {
+        self.charge_step()?;
+        if depth > MAX_REC_DEPTH {
+            return Err(BudgetExceeded::DEPTH);
+        }
+        let top = self.level(f);
+        if top.index() >= sigma.len() {
+            return Ok(f);
+        }
+        let c = f.is_complemented();
+        let f = f.regular();
+        if let Some(&r) = memo.get(&f) {
+            return Ok(r.complement_if(c));
+        }
+        let (f1, f0) = self.cof_at(f, top);
+        let r1 = self.rename_rec(f1, sigma, memo, depth + 1)?;
+        let r0 = self.rename_rec(f0, sigma, memo, depth + 1)?;
+        let to = sigma[top.index()];
+        let r = if to < self.level(r1) && to < self.level(r0) {
+            self.mk_checked(to, r1, r0)?
+        } else {
+            let v = self.try_var_at_level(to)?;
+            self.ite_rec(v, r1, r0, depth + 1)?
+        };
+        memo.insert(f, r);
+        Ok(r.complement_if(c))
     }
 
     /// The support of `f`: the sorted set of variables `f` depends on.

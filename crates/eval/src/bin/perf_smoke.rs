@@ -652,10 +652,11 @@ enum SweepKind {
 
 /// BFS to the reachability fixpoint (capped at `max_steps`); returns the
 /// finished machine, the reached set, the step count, and the sweep's
-/// wall clock. Compilation and (for `Part`) the one-time partition build
-/// happen before the clock starts and before the peak watermark resets,
-/// so both numbers are attributable to the image method alone — the
-/// compile work is identical across the compared modes.
+/// wall clock. Compilation and the one-time build of the relation the
+/// mode reads (`T` for the monolithic modes, the partition for `Part`)
+/// happen before the clock starts, and their garbage is collected before
+/// the peak watermark resets, so both numbers are attributable to the
+/// image method alone. A `Part` sweep never builds `T`.
 fn image_sweep(
     circuit: &Circuit,
     kind: SweepKind,
@@ -663,11 +664,11 @@ fn image_sweep(
 ) -> (SymbolicFsm, Edge, usize, f64) {
     let mut fsm = SymbolicFsm::new(circuit);
     if kind == SweepKind::Part {
-        // A workload committed to partitioned images never holds the
-        // monolithic conjunction — reclaim it so the peak watermark
-        // reflects the partitioned working set.
-        fsm.release_monolithic_relation();
+        fsm.num_clusters();
+    } else {
+        fsm.transition_relation();
     }
+    fsm.collect_garbage(&[]);
     fsm.bdd_mut().reset_peak_stats();
     let t = Instant::now();
     let mut reached = fsm.initial_states();

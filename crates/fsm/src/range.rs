@@ -107,10 +107,8 @@ impl SymbolicFsm {
     /// the **present** variables.
     pub fn image_of_constrained(&mut self, constrained: &[Edge]) -> Edge {
         let next_vars = self.next_vars().to_vec();
-        let present_vars = self.present_vars().to_vec();
-        let bdd = self.bdd_mut();
-        let over_next = range_of_vector(bdd, constrained, &next_vars);
-        bdd.rename(over_next, &next_vars, &present_vars)
+        let over_next = range_of_vector(self.bdd_mut(), constrained, &next_vars);
+        self.next_to_present(over_next)
     }
 
     /// The image of `states` computed by the transition-function method

@@ -111,11 +111,9 @@ pub struct SymbolicFsm {
     output_fns: Vec<Edge>,
     output_names: Vec<String>,
     initial: Edge,
-    transition: Edge,
-    /// Whether the monolithic relation has been reclaimed (see
-    /// [`SymbolicFsm::release_monolithic_relation`]); when set,
-    /// `transition` is a dangling edge and must not be dereferenced.
-    transition_released: bool,
+    /// The monolithic transition relation, built on first use: only the
+    /// `mono` image and relation minimization read it.
+    transition: Option<Edge>,
     /// Cube of input ∪ present variables (quantified during image).
     img_quant_cube: Edge,
     /// Lazily-built partitioned transition relation (see [`Partition`]).
@@ -195,13 +193,6 @@ impl SymbolicFsm {
             let lit = bdd.literal(present_vars[i], latch.init);
             initial = bdd.and(initial, lit);
         }
-        // Monolithic transition relation T(in, ps, ns) = ∧ (ns_i ≡ δ_i).
-        let mut transition = Edge::ONE;
-        for (i, &nf) in next_fns.iter().enumerate() {
-            let nv = bdd.var(next_vars[i]);
-            let eq = bdd.xnor(nv, nf);
-            transition = bdd.and(transition, eq);
-        }
         let quant: Vec<Var> = input_vars
             .iter()
             .chain(present_vars.iter())
@@ -217,8 +208,7 @@ impl SymbolicFsm {
             output_fns,
             output_names,
             initial,
-            transition,
-            transition_released: false,
+            transition: None,
             img_quant_cube,
             partition: None,
             name: circuit.name().to_owned(),
@@ -277,18 +267,20 @@ impl SymbolicFsm {
         self.initial
     }
 
-    /// The monolithic transition relation `T(in, ps, ns)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the relation was reclaimed by
-    /// [`SymbolicFsm::release_monolithic_relation`].
-    pub fn transition_relation(&self) -> Edge {
-        assert!(
-            !self.transition_released,
-            "monolithic transition relation was released"
-        );
-        self.transition
+    /// The monolithic transition relation `T(in, ps, ns) = ∧ᵢ (nsᵢ ≡ δᵢ)`,
+    /// built on the first call and kept as a root from then on.
+    pub fn transition_relation(&mut self) -> Edge {
+        if let Some(t) = self.transition {
+            return t;
+        }
+        let mut t = Edge::ONE;
+        for (&nv, &nf) in self.next_vars.iter().zip(&self.next_fns) {
+            let nv = self.bdd.var(nv);
+            let eq = self.bdd.xnor(nv, nf);
+            t = self.bdd.and(t, eq);
+        }
+        self.transition = Some(t);
+        t
     }
 
     /// The cube of input and present-state variables quantified during
@@ -298,18 +290,16 @@ impl SymbolicFsm {
     }
 
     /// The image of a state set `S(ps)`: all states reachable in one step,
-    /// expressed over the **present** variables again. After
-    /// [`SymbolicFsm::release_monolithic_relation`] this delegates to the
-    /// partitioned computation (the only relation still held).
+    /// expressed over the **present** variables again.
     pub fn image(&mut self, states: Edge) -> Edge {
-        if self.transition_released {
-            return self.image_partitioned(states);
-        }
-        let ns_image = self
-            .bdd
-            .and_exists(self.transition, states, self.img_quant_cube);
-        self.bdd
-            .rename(ns_image, &self.next_vars.clone(), &self.present_vars.clone())
+        let t = self.transition_relation();
+        let ns_image = self.bdd.and_exists(t, states, self.img_quant_cube);
+        self.next_to_present(ns_image)
+    }
+
+    /// Renames a set over the next-state variables to the present ones.
+    pub(crate) fn next_to_present(&mut self, f: Edge) -> Edge {
+        self.bdd.rename(f, &self.next_vars, &self.present_vars)
     }
 
     /// The image of `states` through the partitioned transition relation:
@@ -330,8 +320,7 @@ impl SymbolicFsm {
         for (cluster, cube) in steps {
             acc = self.bdd.and_exists(acc, cluster, cube);
         }
-        self.bdd
-            .rename(acc, &self.next_vars.clone(), &self.present_vars.clone())
+        self.next_to_present(acc)
     }
 
     /// Dispatches to the image computation selected by `method`.
@@ -417,45 +406,16 @@ impl SymbolicFsm {
     }
 
     /// Garbage-collects the manager, protecting the machine's own
-    /// functions (next-state, outputs, initial state, transition relation)
-    /// plus the given extra roots. Returns the number of reclaimed nodes.
+    /// functions (next-state, outputs, initial state, the transition
+    /// relations built so far) plus the given extra roots. Returns the
+    /// number of reclaimed nodes.
     ///
     /// Long instrumented traversals that repeatedly build and discard
     /// minimized covers should call this between iterations to keep the
     /// node table bounded.
     pub fn collect_garbage(&mut self, extra_roots: &[Edge]) -> usize {
-        let mut roots: Vec<Edge> = Vec::with_capacity(
-            self.next_fns.len() + self.output_fns.len() + extra_roots.len() + 3,
-        );
-        roots.extend_from_slice(&self.next_fns);
-        roots.extend_from_slice(&self.output_fns);
-        roots.push(self.initial);
-        if !self.transition_released {
-            roots.push(self.transition);
-        }
-        roots.push(self.img_quant_cube);
-        if let Some(part) = &self.partition {
-            roots.extend_from_slice(&part.clusters);
-            roots.extend_from_slice(&part.cubes);
-        }
-        roots.extend_from_slice(extra_roots);
+        let roots = self.roots(extra_roots);
         self.bdd.collect_garbage(&roots)
-    }
-
-    /// Reclaims the monolithic transition relation, keeping only the
-    /// partitioned one (built here if necessary). Returns the number of
-    /// nodes the collection freed.
-    ///
-    /// The memory argument for partitioned image computation rests on
-    /// never holding the monolithic conjunction `∧ᵢ (nsᵢ ≡ δᵢ)` — often
-    /// the largest single BDD in a traversal — so workloads that commit
-    /// to `--image part` can drop it entirely. Afterwards
-    /// [`SymbolicFsm::image`] delegates to [`SymbolicFsm::image_partitioned`]
-    /// and [`SymbolicFsm::transition_relation`] panics.
-    pub fn release_monolithic_relation(&mut self) -> usize {
-        self.ensure_partition();
-        self.transition_released = true;
-        self.collect_garbage(&[])
     }
 
     /// Dynamically reorders the manager's variables, protecting the same
@@ -464,22 +424,23 @@ impl SymbolicFsm {
     /// identity across the reorder (slots denote the same functions), so
     /// the traversal continues unchanged afterwards.
     pub fn reorder(&mut self, settings: &ReorderSettings, extra_roots: &[Edge]) -> ReorderStats {
-        let mut roots: Vec<Edge> = Vec::with_capacity(
-            self.next_fns.len() + self.output_fns.len() + extra_roots.len() + 3,
-        );
-        roots.extend_from_slice(&self.next_fns);
-        roots.extend_from_slice(&self.output_fns);
+        let roots = self.roots(extra_roots);
+        self.bdd.reorder_roots(settings, &roots)
+    }
+
+    /// The machine's own functions, the relations built so far, and
+    /// `extra_roots`.
+    fn roots(&self, extra_roots: &[Edge]) -> Vec<Edge> {
+        let mut roots = [self.next_fns.as_slice(), &self.output_fns].concat();
         roots.push(self.initial);
-        if !self.transition_released {
-            roots.push(self.transition);
-        }
+        roots.extend(self.transition);
         roots.push(self.img_quant_cube);
         if let Some(part) = &self.partition {
             roots.extend_from_slice(&part.clusters);
             roots.extend_from_slice(&part.cubes);
         }
         roots.extend_from_slice(extra_roots);
-        self.bdd.reorder_roots(settings, &roots)
+        roots
     }
 
     /// Number of states in a state set (over the present variables).
@@ -679,37 +640,6 @@ mod tests {
         fsm.collect_garbage(&[init]);
         let after = fsm.image_partitioned(init);
         assert_eq!(before, after);
-    }
-
-    #[test]
-    fn released_monolithic_relation_images_via_partition() {
-        let c = crate::generators::random_fsm("rel", 8, 2, 0xD0C5);
-        let mut a = SymbolicFsm::new(&c);
-        let mut b = SymbolicFsm::new(&c);
-        let freed = b.release_monolithic_relation();
-        assert!(freed > 0, "releasing the monolithic relation freed nothing");
-        let mut sa = a.initial_states();
-        let mut sb = b.initial_states();
-        for _ in 0..4 {
-            let ia = a.image(sa);
-            let ib = b.image(sb);
-            assert_eq!(
-                a.bdd().sat_count(ia).to_bits(),
-                b.bdd().sat_count(ib).to_bits(),
-            );
-            sa = a.bdd_mut().or(sa, ia);
-            sb = b.bdd_mut().or(sb, ib);
-            b.collect_garbage(&[sb]);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "monolithic transition relation was released")]
-    fn transition_relation_panics_after_release() {
-        let c = crate::generators::counter("c", 3);
-        let mut fsm = SymbolicFsm::new(&c);
-        fsm.release_monolithic_relation();
-        let _ = fsm.transition_relation();
     }
 
     #[test]

@@ -72,9 +72,7 @@ impl SymbolicFsm {
     pub fn image_via(&mut self, relation: Edge, states: Edge) -> Edge {
         let quant = self.img_quant_cube();
         let ns_image = self.bdd_mut().and_exists(relation, states, quant);
-        let next = self.next_vars().to_vec();
-        let present = self.present_vars().to_vec();
-        self.bdd_mut().rename(ns_image, &next, &present)
+        self.next_to_present(ns_image)
     }
 }
 

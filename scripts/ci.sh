@@ -334,14 +334,15 @@ stage_image() {
         echo "image_storm diverged across image methods" >&2
         exit 1
     }
-    echo "    image determinism: --image part stdout is byte-identical to mono"
-    local tmpdir
+    echo "    image determinism: --image part and range stdout is byte-identical to mono"
+    local tmpdir method
     tmpdir="$(mktemp -d)"
-    ./target/release/table3 --quick --only tlc --no-times --image mono \
-        >"$tmpdir/mono.txt"
-    ./target/release/table3 --quick --only tlc --no-times --image part \
-        >"$tmpdir/part.txt"
+    for method in mono part range; do
+        ./target/release/table3 --quick --only tlc --no-times --image "$method" \
+            >"$tmpdir/$method.txt"
+    done
     diff -u "$tmpdir/mono.txt" "$tmpdir/part.txt"
+    diff -u "$tmpdir/mono.txt" "$tmpdir/range.txt"
     rm -rf "$tmpdir"
 }
 
